@@ -4,7 +4,7 @@
 //! | rule id         | discipline                                                      |
 //! |-----------------|-----------------------------------------------------------------|
 //! | `counted-io`    | device counters mutate only in `pmem-sim`'s accounting files    |
-//! | `ledger-only`   | `Metrics::add_*` charges only in metrics.rs/layer.rs/pages.rs; shard merges only in `metrics.rs` |
+//! | `ledger-only`   | `Metrics::add_*` charges only in metrics.rs/layer.rs/pages.rs; shard merges only in `metrics.rs`; flow adoption only in the worker pool |
 //! | `uncounted-api` | `*_uncounted` escape hatches only at delivery/checkpoint sites  |
 //! | `wal-order`     | append → fsync → apply; no state mutation before the WAL append |
 //! | `panic-free`    | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery zones  |
@@ -179,16 +179,24 @@ const LEDGER_CHARGE_FILES: &[&str] = &[
     "crates/pmem-sim/src/pages.rs",
 ];
 
+/// The one caller allowed to credit another thread's traffic to the
+/// calling thread's flow: the worker pool, when it consumes a task.
+const FLOW_ADOPTER: &str = "crates/core/src/parallel.rs";
+
 /// Ledger-only discipline (the sharded-accounting refactor's contract):
 /// `Metrics::add_*` is the charge API of the simulator's persistence
 /// layers — callable only from the files in [`LEDGER_CHARGE_FILES`] —
 /// and `merge_shard`, the bulk publication of a thread shard into the
-/// shared bank, belongs to `metrics.rs` alone. Everything else,
-/// including the rest of pmem-sim, observes counters through snapshots
-/// and thread ledgers; it never charges or publishes them directly.
+/// shared bank, belongs to `metrics.rs` alone. `adopt`, which credits a
+/// worker task's traffic to the consuming thread's flow (and so to every
+/// enclosing span), belongs to the worker pool: anywhere else it would
+/// forge span attribution. Everything else, including the rest of
+/// pmem-sim, observes counters through snapshots and span deltas; it
+/// never charges, publishes, or adopts them directly.
 fn rule_ledger_only(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
     let in_charge_file = LEDGER_CHARGE_FILES.iter().any(|f| rel.ends_with(f));
     let in_metrics = rel.contains("crates/pmem-sim/src/") && rel.ends_with("metrics.rs");
+    let may_adopt = in_metrics || rel.ends_with(FLOW_ADOPTER);
     for i in 0..toks.len() {
         let text = toks[i].text.as_str();
         if !in_charge_file && LEDGER_ENTRY_POINTS.contains(&text) && is_method_call(toks, i, text) {
@@ -200,7 +208,7 @@ fn rule_ledger_only(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
                     "`.{text}(` outside the simulator's charge files; only \
                      metrics.rs, layer.rs, and pages.rs charge the device — \
                      measured code observes counters through snapshots and \
-                     thread ledgers"
+                     span deltas"
                 ),
             });
         }
@@ -213,6 +221,18 @@ fn rule_ledger_only(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
                       metrics.rs; call pmem_sim::flush_thread_accounting() at a \
                       flush point instead"
                     .to_string(),
+            });
+        }
+        if !may_adopt && text == "adopt" && is_call(toks, i, "adopt") {
+            diags.push(Diagnostic {
+                file: rel.to_string(),
+                line: toks[i].line,
+                rule: LEDGER_ONLY,
+                msg: format!(
+                    "flow adoption (`adopt`) belongs to the worker pool \
+                     ({FLOW_ADOPTER}); run the work through \
+                     parallel::for_each_ordered instead of crediting it by hand"
+                ),
             });
         }
     }

@@ -85,6 +85,29 @@ fn ledger_only_is_silent_in_the_shard_merge_internals() {
 }
 
 #[test]
+fn ledger_only_trips_flow_adoption_outside_the_worker_pool() {
+    for rel in [
+        "crates/runtime/src/exec.rs",
+        "crates/pmem-sim/src/span.rs",
+        "crates/bench/src/profile.rs",
+    ] {
+        let diags = scan_source(rel, include_str!("../fixtures/ledger_only_adopt.rs"));
+        assert_diags(&diags, &[(4, rules::LEDGER_ONLY)]);
+    }
+}
+
+#[test]
+fn ledger_only_allows_flow_adoption_in_the_worker_pool() {
+    for rel in [
+        "crates/core/src/parallel.rs",
+        "crates/pmem-sim/src/metrics.rs",
+    ] {
+        let diags = scan_source(rel, include_str!("../fixtures/ledger_only_adopt.rs"));
+        assert_diags(&diags, &[]);
+    }
+}
+
+#[test]
 fn uncounted_api_trips_outside_the_whitelist() {
     let diags = scan_source(
         "crates/runtime/src/exec.rs",

@@ -3,7 +3,7 @@
 //!
 //! Simulated counters are DoP-invariant, so the parallel story lives in
 //! *host* time — and the wall-clock speedup at DoP 4 routinely lands
-//! below the ledger-derived critical-path bound. This scenario runs each
+//! below the span-derived critical-path bound. This scenario runs each
 //! parallel algorithm at DoP 1 and DoP 4 under a span profile
 //! ([`pmem_sim::span`]) and reports, per worker-pool phase, the per-task
 //! wall breakdown: total task-seconds, the makespan (slowest task), and
@@ -20,7 +20,10 @@ use pmem_sim::span::{begin_profile, end_profile};
 use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice, SpanNode};
 use std::time::Instant;
 use wisconsin::{join_input, sort_input, KeyOrder};
-use write_limited::join::{grace_join, hash_join, lazy_hash_join, nested_loops_join, JoinContext};
+use write_limited::join::{
+    grace_join, hash_join, lazy_hash_join, nested_loops_join, segmented_grace_join_frac,
+    JoinContext,
+};
 use write_limited::sort::{external_merge_sort, SortContext};
 
 /// One algorithm's profiled run at one degree of parallelism.
@@ -101,7 +104,8 @@ fn profiled<F: FnOnce()>(
     }
 }
 
-fn profile_sort(n: u64, m_records: usize, dop: usize) -> ProfiledRun {
+/// Profiles ExMS over `n` random records with `M = m_records` at `dop`.
+pub(crate) fn profile_sort(n: u64, m_records: usize, dop: usize) -> ProfiledRun {
     let dev = PmDevice::paper_default();
     let input = PCollection::from_records_uncounted(
         &dev,
@@ -117,7 +121,10 @@ fn profile_sort(n: u64, m_records: usize, dop: usize) -> ProfiledRun {
     })
 }
 
-fn profile_join(
+/// Profiles one join (`GJ`, `HJ`, `NLJ`, `LaJ` or `SegJ 25%`) over
+/// `|T| = t` with the given fan-out and `M = m_records` at `dop`,
+/// checking the match count.
+pub(crate) fn profile_join(
     algorithm: &'static str,
     t: u64,
     fanout: u64,
@@ -138,6 +145,9 @@ fn profile_join(
             "HJ" => hash_join(&left, &right, &ctx, "out").len(),
             "NLJ" => nested_loops_join(&left, &right, &ctx, "out").len(),
             "LaJ" => lazy_hash_join(&left, &right, &ctx, "out").len(),
+            "SegJ 25%" => segmented_grace_join_frac(&left, &right, 0.25, &ctx, "out")
+                .expect("applicable")
+                .len(),
             other => unreachable!("unprofiled algorithm {other}"),
         };
         assert_eq!(

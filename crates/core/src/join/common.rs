@@ -2,7 +2,7 @@
 //! build/probe tables.
 
 use crate::parallel;
-use pmem_sim::{thread_stats, BufferPool, IoStats, LayerKind, PCollection, Pm, RecordBuffer};
+use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, RecordBuffer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wisconsin::{Pair, Record};
@@ -203,39 +203,23 @@ pub(crate) enum ScanAction {
     Skip,
 }
 
-/// Per-pass ledger profile of an iterative (standard or lazy) hash
-/// join: for every pass, the traffic of its independent input morsels.
-/// Build and probe scans of one pass run one after the other; the
-/// morsels within each scan fan out. Every entry is identical at any
-/// degree of parallelism — the speedup harness schedules them onto DoP
-/// workers for the deterministic critical-path estimate.
-#[derive(Clone, Debug, Default)]
-pub struct IterJoinProfile {
-    /// Per pass, the build-side scan's per-morsel traffic.
-    pub per_build_morsel: Vec<Vec<IoStats>>,
-    /// Per pass, the probe-side scan's per-morsel traffic.
-    pub per_probe_morsel: Vec<Vec<IoStats>>,
-}
-
 /// Morselized build-side pass scan: fans the scan of `src` out over
 /// fixed-size morsels; kept records land in `table` and offloaded ones
 /// in `next`, both applied on the coordinating thread in morsel order —
 /// so the table's insertion order, the offload collection's record
 /// order, and every charged counter are identical to the serial scan at
-/// any DoP. Returns the per-morsel traffic (scan reads plus the
-/// morsel's share of the offload writes).
+/// any DoP.
 pub(crate) fn build_pass_morsels<L: Record>(
     src: &PCollection<L>,
     ctx: &JoinContext<'_>,
     classify: impl Fn(&L) -> ScanAction + Sync,
     table: &mut BuildTable<L>,
     mut next: Option<&mut PCollection<L>>,
-) -> Vec<IoStats> {
+) {
     let morsels = src
         .len()
         .div_ceil(super::grace::PARTITION_MORSEL_RECORDS)
         .max(1);
-    let mut stats = Vec::with_capacity(morsels);
     parallel::for_each_ordered(
         ctx.threads(),
         morsels,
@@ -254,7 +238,6 @@ pub(crate) fn build_pass_morsels<L: Record>(
             (keep, offload)
         },
         |_, task| {
-            let before = thread_stats();
             let (keep, offload) = task.value;
             for l in keep {
                 table.insert(l);
@@ -262,11 +245,8 @@ pub(crate) fn build_pass_morsels<L: Record>(
             if let Some(next) = next.as_deref_mut() {
                 next.append_buffer(&offload);
             }
-            let flush = thread_stats().since(&before);
-            stats.push(task.stats.plus(&flush));
         },
     );
-    stats
 }
 
 /// Morselized probe-side pass scan, the counterpart of
@@ -281,12 +261,11 @@ pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
     table: &BuildTable<L>,
     out: &mut PCollection<Pair<L, R>>,
     mut next: Option<&mut PCollection<R>>,
-) -> Vec<IoStats> {
+) {
     let morsels = src
         .len()
         .div_ceil(super::grace::PARTITION_MORSEL_RECORDS)
         .max(1);
-    let mut stats = Vec::with_capacity(morsels);
     parallel::for_each_ordered(
         ctx.threads(),
         morsels,
@@ -305,17 +284,13 @@ pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
             (matches, offload)
         },
         |_, task| {
-            let before = thread_stats();
             let (matches, offload) = task.value;
             out.append_buffer(&matches);
             if let Some(next) = next.as_deref_mut() {
                 next.append_buffer(&offload);
             }
-            let flush = thread_stats().since(&before);
-            stats.push(task.stats.plus(&flush));
         },
     );
-    stats
 }
 
 /// Reference in-memory join used to verify operator outputs in tests:

@@ -14,7 +14,7 @@
 
 use super::common::{partition_of, BuildTable, JoinContext};
 use crate::parallel;
-use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer};
+use pmem_sim::{PCollection, PmError, RecordBuffer};
 use wisconsin::{Pair, Record};
 
 /// Records per partitioning morsel. Inputs at or below this size are
@@ -85,29 +85,13 @@ pub fn partition_input_morsels<R: Record>(
     ctx: &JoinContext<'_>,
     prefix: &str,
 ) -> PartitionedInput<R> {
-    partition_input_morsels_profiled(input, k, ctx, prefix).0
-}
-
-/// [`partition_input_morsels`] plus each morsel's cost as charged by its
-/// worker's thread-local ledger.
-pub(crate) fn partition_input_morsels_profiled<R: Record>(
-    input: &PCollection<R>,
-    k: usize,
-    ctx: &JoinContext<'_>,
-    prefix: &str,
-) -> (PartitionedInput<R>, Vec<IoStats>) {
     let n = input.len();
     let morsels = n.div_ceil(PARTITION_MORSEL_RECORDS).max(1);
     if morsels == 1 {
-        let before = pmem_sim::thread_stats();
         let parts = partition_input(input, k, ctx, prefix);
-        let stats = pmem_sim::thread_stats().since(&before);
-        return (
-            PartitionedInput {
-                parts: parts.into_iter().map(|p| vec![p]).collect(),
-            },
-            vec![stats],
-        );
+        return PartitionedInput {
+            parts: parts.into_iter().map(|p| vec![p]).collect(),
+        };
     }
 
     // Names are minted morsel-major on the coordinating thread, so
@@ -117,7 +101,6 @@ pub(crate) fn partition_input_morsels_profiled<R: Record>(
         .collect();
 
     let mut parts: Vec<Vec<PCollection<R>>> = (0..k).map(|_| Vec::with_capacity(morsels)).collect();
-    let mut per_morsel = Vec::with_capacity(morsels);
     parallel::for_each_ordered(
         ctx.threads(),
         morsels,
@@ -137,10 +120,9 @@ pub(crate) fn partition_input_morsels_profiled<R: Record>(
             for (p, sub) in morsel.value.into_iter().enumerate() {
                 parts[p].push(sub);
             }
-            per_morsel.push(morsel.stats);
         },
     );
-    (PartitionedInput { parts }, per_morsel)
+    PartitionedInput { parts }
 }
 
 /// Joins one partition pair: builds on `left_part`, probes `right_part`.
@@ -164,18 +146,18 @@ pub fn join_partition<L: Record, R: Record>(
 }
 
 /// Joins every partition pair across the worker pool, appending the
-/// results to `out` in partition order. Returns each partition's cost
-/// as measured by its worker's thread-local ledger (deterministic at
-/// any DoP; the output flush is charged to the coordinator, not the
-/// partitions).
+/// results to `out` in partition order. Under a span profile each
+/// partition's `task-i` leaf carries its build/probe reads plus its
+/// output writes (serialized on the coordinator for determinism, but
+/// attributable to the partition — a medium serving DoP workers would
+/// land them concurrently).
 pub(crate) fn join_partitioned<L: Record, R: Record>(
     left: &PartitionedInput<L>,
     right: &PartitionedInput<R>,
     ctx: &JoinContext<'_>,
     out: &mut PCollection<Pair<L, R>>,
-) -> Vec<IoStats> {
+) {
     let k = left.partitions();
-    let mut per_partition = Vec::with_capacity(k);
     parallel::for_each_ordered(
         ctx.threads(),
         k,
@@ -193,43 +175,8 @@ pub(crate) fn join_partitioned<L: Record, R: Record>(
             }
             buf
         },
-        |_, task| {
-            // The flush is serialized here for count determinism, but
-            // the writes belong to the partition: a medium serving DoP
-            // workers concurrently would land each partition's output
-            // from its own worker. Charge them to the partition's cost
-            // through the coordinator's own thread ledger.
-            let before = pmem_sim::thread_stats();
-            out.append_buffer(&task.value);
-            let flush = pmem_sim::thread_stats().since(&before);
-            per_partition.push(task.stats.plus(&flush));
-        },
+        |_, task| out.append_buffer(&task.value),
     );
-    per_partition
-}
-
-/// Per-phase cost profile of one Grace join run, measured through the
-/// per-worker ledgers: what executes serially (partitioning) versus per
-/// partition pair (the build/probe phase). The per-partition costs sum,
-/// together with the phases' coordinator-side traffic, to the device
-/// delta of the whole join, and every entry is identical at any degree
-/// of parallelism — this is the measured analogue of the planner's
-/// critical-path estimate.
-#[derive(Clone, Debug)]
-pub struct GraceProfile {
-    /// Traffic of phase 1 (hash-partitioning both inputs).
-    pub partition_phase: IoStats,
-    /// Phase-1 traffic per morsel of the left input (the morsels of one
-    /// input fan out concurrently; the two inputs are partitioned one
-    /// after the other).
-    pub per_morsel_left: Vec<IoStats>,
-    /// Phase-1 traffic per morsel of the right input.
-    pub per_morsel_right: Vec<IoStats>,
-    /// Phase-2 traffic per partition pair: the worker's build/probe
-    /// reads plus the partition's output writes (serialized on the
-    /// coordinator for determinism, but attributable to the partition —
-    /// a medium serving DoP workers would land them concurrently).
-    pub per_partition: Vec<IoStats>,
 }
 
 /// Joins `left ⋈ right` with Grace join.
@@ -243,20 +190,6 @@ pub fn grace_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<Pair<L, R>>, PmError> {
-    grace_join_profiled(left, right, ctx, output_name).map(|(out, _)| out)
-}
-
-/// [`grace_join`] with the per-phase cost profile alongside the result —
-/// what the speedup harness and critical-path analyses consume.
-///
-/// # Errors
-/// Same as [`grace_join`].
-pub fn grace_join_profiled<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> Result<(PCollection<Pair<L, R>>, GraceProfile), PmError> {
     let _span = pmem_sim::span::span("alg grace");
     if !ctx.grace_applicable::<L>(left.len()) {
         return Err(PmError::InsufficientMemory {
@@ -268,22 +201,11 @@ pub fn grace_join_profiled<L: Record, R: Record>(
         });
     }
     let k = ctx.grace_partitions::<L>(left.len());
-    let before = ctx.device().snapshot();
-    let (left_parts, per_morsel_left) = partition_input_morsels_profiled(left, k, ctx, "gj-t");
-    let (right_parts, per_morsel_right) = partition_input_morsels_profiled(right, k, ctx, "gj-v");
-    let partition_phase = ctx.device().snapshot().since(&before);
-
+    let left_parts = partition_input_morsels(left, k, ctx, "gj-t");
+    let right_parts = partition_input_morsels(right, k, ctx, "gj-v");
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let per_partition = join_partitioned(&left_parts, &right_parts, ctx, &mut out);
-    Ok((
-        out,
-        GraceProfile {
-            partition_phase,
-            per_morsel_left,
-            per_morsel_right,
-            per_partition,
-        },
-    ))
+    join_partitioned(&left_parts, &right_parts, ctx, &mut out);
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@
 //! dependency the cost model's per-pass split captures.
 
 use super::common::{
-    build_pass_morsels, partition_of, probe_pass_morsels, BuildTable, IterJoinProfile, JoinContext,
-    ScanAction,
+    build_pass_morsels, partition_of, probe_pass_morsels, BuildTable, JoinContext, ScanAction,
 };
 use pmem_sim::PCollection;
 use wisconsin::{Pair, Record};
@@ -31,22 +30,9 @@ pub fn hash_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> PCollection<Pair<L, R>> {
-    hash_join_profiled(left, right, ctx, output_name).0
-}
-
-/// [`hash_join`] with the per-pass, per-morsel ledger profile alongside
-/// the result — what the speedup harness and critical-path analyses
-/// consume.
-pub fn hash_join_profiled<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> (PCollection<Pair<L, R>>, IterJoinProfile) {
     let _span = pmem_sim::span::span("alg hash-join");
     let k = ctx.grace_partitions::<L>(left.len());
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut profile = IterJoinProfile::default();
 
     // Owned shrinking copies after the first iteration.
     let mut t_cur: Option<PCollection<L>> = None;
@@ -59,7 +45,7 @@ pub fn hash_join_profiled<L: Record, R: Record>(
 
         {
             let t_src: &PCollection<L> = t_cur.as_ref().unwrap_or(left);
-            let build = build_pass_morsels(
+            build_pass_morsels(
                 t_src,
                 ctx,
                 |l| {
@@ -74,13 +60,12 @@ pub fn hash_join_profiled<L: Record, R: Record>(
                 &mut table,
                 t_next.as_mut(),
             );
-            profile.per_build_morsel.push(build);
         }
 
         let mut v_next = (!last).then(|| ctx.fresh::<R>("hj-v"));
         {
             let v_src: &PCollection<R> = v_cur.as_ref().unwrap_or(right);
-            let probe = probe_pass_morsels(
+            probe_pass_morsels(
                 v_src,
                 ctx,
                 |r| {
@@ -96,13 +81,12 @@ pub fn hash_join_profiled<L: Record, R: Record>(
                 &mut out,
                 v_next.as_mut(),
             );
-            profile.per_probe_morsel.push(probe);
         }
 
         t_cur = t_next;
         v_cur = v_next;
     }
-    (out, profile)
+    out
 }
 
 #[cfg(test)]

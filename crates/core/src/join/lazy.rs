@@ -25,8 +25,7 @@
 //! at any degree of parallelism.
 
 use super::common::{
-    build_pass_morsels, partition_of, probe_pass_morsels, BuildTable, IterJoinProfile, JoinContext,
-    ScanAction,
+    build_pass_morsels, partition_of, probe_pass_morsels, BuildTable, JoinContext, ScanAction,
 };
 use pmem_sim::PCollection;
 use wisconsin::{Pair, Record};
@@ -44,22 +43,10 @@ pub fn lazy_hash_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> PCollection<Pair<L, R>> {
-    lazy_hash_join_profiled(left, right, ctx, output_name).0
-}
-
-/// [`lazy_hash_join`] with the per-pass, per-morsel ledger profile
-/// alongside the result.
-pub fn lazy_hash_join_profiled<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> (PCollection<Pair<L, R>>, IterJoinProfile) {
     let _span = pmem_sim::span::span("alg lazy-join");
     let k = ctx.grace_partitions::<L>(left.len());
     let lambda = ctx.device().lambda();
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut profile = IterJoinProfile::default();
 
     // Current sources: the originals, then materialized remainders.
     let mut t_cur: Option<PCollection<L>> = None;
@@ -91,20 +78,19 @@ pub fn lazy_hash_join_profiled<L: Record, R: Record>(
 
         {
             let t_src: &PCollection<L> = t_cur.as_ref().unwrap_or(left);
-            let build = build_pass_morsels(
+            build_pass_morsels(
                 t_src,
                 ctx,
                 |l| classify(partition_of(l.key(), k)),
                 &mut table,
                 t_next.as_mut(),
             );
-            profile.per_build_morsel.push(build);
         }
 
         let mut v_next = materialize.then(|| ctx.fresh::<R>("laj-v"));
         {
             let v_src: &PCollection<R> = v_cur.as_ref().unwrap_or(right);
-            let probe = probe_pass_morsels(
+            probe_pass_morsels(
                 v_src,
                 ctx,
                 |r| classify(partition_of(r.key(), k)),
@@ -112,7 +98,6 @@ pub fn lazy_hash_join_profiled<L: Record, R: Record>(
                 &mut out,
                 v_next.as_mut(),
             );
-            profile.per_probe_morsel.push(probe);
         }
 
         if materialize {
@@ -122,7 +107,7 @@ pub fn lazy_hash_join_profiled<L: Record, R: Record>(
             threshold = lazy_materialization_iterations(remaining_after, lambda).max(1);
         }
     }
-    (out, profile)
+    out
 }
 
 #[cfg(test)]

@@ -23,18 +23,16 @@ pub mod nested_loops;
 pub mod segmented;
 pub mod sort_merge;
 
-pub use common::{
-    expected_match_count, partition_of, BuildTable, IterJoinProfile, JoinContext, HASH_TABLE_FACTOR,
-};
+pub use common::{expected_match_count, partition_of, BuildTable, JoinContext, HASH_TABLE_FACTOR};
 pub use grace::{
-    grace_join, grace_join_profiled, join_partition, partition_input, partition_input_morsels,
-    GraceProfile, PartitionedInput, PARTITION_MORSEL_RECORDS,
+    grace_join, join_partition, partition_input, partition_input_morsels, PartitionedInput,
+    PARTITION_MORSEL_RECORDS,
 };
 pub use guided::{guided_join, guided_join_with};
-pub use hash::{hash_join, hash_join_profiled};
+pub use hash::hash_join;
 pub use hybrid::hybrid_join;
-pub use lazy::{lazy_hash_join, lazy_hash_join_profiled, lazy_materialization_iterations};
-pub use nested_loops::{nested_loops_join, nested_loops_join_profiled, NljProfile};
+pub use lazy::{lazy_hash_join, lazy_materialization_iterations};
+pub use nested_loops::nested_loops_join;
 pub use segmented::{segmented_grace_join, segmented_grace_join_frac};
 pub use sort_merge::sort_merge_join;
 

@@ -16,17 +16,8 @@
 
 use super::common::{BuildTable, JoinContext};
 use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer};
+use pmem_sim::{PCollection, RecordBuffer};
 use wisconsin::{Pair, Record};
-
-/// Per-block ledger profile of one block nested-loops run: each outer
-/// block's build reads, probe-scan reads, and output writes, identical
-/// at any degree of parallelism.
-#[derive(Clone, Debug, Default)]
-pub struct NljProfile {
-    /// Traffic per outer block, in block order.
-    pub per_block: Vec<IoStats>,
-}
 
 /// Joins `left ⋈ right` on key equality with block nested loops.
 pub fn nested_loops_join<L: Record, R: Record>(
@@ -35,22 +26,10 @@ pub fn nested_loops_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> PCollection<Pair<L, R>> {
-    nested_loops_join_profiled(left, right, ctx, output_name).0
-}
-
-/// [`nested_loops_join`] with the per-block ledger profile alongside
-/// the result.
-pub fn nested_loops_join_profiled<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> (PCollection<Pair<L, R>>, NljProfile) {
     let _span = pmem_sim::span::span("alg nlj");
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let block = ctx.build_capacity::<L>();
     let blocks = left.len().div_ceil(block);
-    let mut profile = NljProfile::default();
 
     parallel::for_each_ordered(
         ctx.threads(),
@@ -68,14 +47,9 @@ pub fn nested_loops_join_profiled<L: Record, R: Record>(
             }
             buf
         },
-        |_, task| {
-            let before = thread_stats();
-            out.append_buffer(&task.value);
-            let flush = thread_stats().since(&before);
-            profile.per_block.push(task.stats.plus(&flush));
-        },
+        |_, task| out.append_buffer(&task.value),
     );
-    (out, profile)
+    out
 }
 
 #[cfg(test)]

@@ -13,12 +13,22 @@
 //!   result ships, and the pool flushes again at the join barrier — so
 //!   totals are exact at every point the coordinator can observe them,
 //!   without a shared atomic RMW per counted access;
-//! * each task's own traffic is measured through the per-thread ledger
-//!   ([`pmem_sim::thread_stats`]), so per-partition cost deltas are
-//!   deterministic at any degree of parallelism; and
+//! * each task's own traffic is measured as a delta of its worker's
+//!   [`pmem_sim::thread_flow`], so per-task costs are deterministic at
+//!   any degree of parallelism, and the coordinator adopts it so
+//!   enclosing spans cover the delegated work;
 //! * results are consumed **in task-index order** on the calling thread,
 //!   so anything the caller serializes (output flushes, runtime-rule
 //!   bookkeeping) happens in exactly the order the serial executor used.
+//!
+//! Under an armed span profile every fan-out records a `tasks[n]` phase
+//! span with one `task-i` leaf per task, whose I/O is the task's own
+//! traffic plus whatever its `consume` callback charged on the
+//! coordinator (the output flush belongs to the task: a medium serving
+//! DoP workers would land it from the worker). The leaves of a phase
+//! therefore sum exactly to the phase, and a run's critical path is read
+//! straight off the tree — the phases' makespans over DoP workers plus
+//! the serial remainder.
 //!
 //! Simulated time is traffic-derived and therefore unchanged by
 //! parallelism; what the pool buys is wall-clock scaling of the harness
@@ -74,9 +84,8 @@ pub fn degree_from_env() -> usize {
 }
 
 /// One task's result plus the traffic its worker charged while running
-/// it (taken from the worker's thread-local flow ledger, so concurrent
-/// siblings cannot perturb it and nested fan-out the task consumed is
-/// included).
+/// it (a delta of the worker's thread flow, so concurrent siblings
+/// cannot perturb it and nested fan-out the task consumed is included).
 #[derive(Debug)]
 pub struct TaskOutput<T> {
     /// The task's return value.
@@ -107,6 +116,10 @@ const BACKPRESSURE_WINDOW_PER_WORKER: usize = 2;
 /// a bounded window ahead of the consumption point, so unconsumed
 /// outputs cannot pile up behind one slow task. Worker panics propagate
 /// to the caller when the scope joins.
+///
+/// Under an armed span profile the fan-out records a `tasks[n]` span
+/// with one `task-i` leaf per task, costed as the task's own traffic
+/// plus whatever its `consume(i, …)` call charged on the caller.
 pub fn for_each_ordered<T, F, C>(threads: usize, n_tasks: usize, task: F, mut consume: C)
 where
     T: Send,
@@ -118,27 +131,39 @@ where
     }
     // Phase span covering the whole fan-out; per-task leaves attach under
     // it at consumption time, so a profile records the pool's shape (task
-    // counts, which threads ran what, per-task wall) at any DoP. All of
-    // this is inert unless a profile is armed on the coordinator.
-    let _pool_span = span::span_with(|| format!("tasks[{n_tasks}]"));
+    // counts, which threads ran what, per-task cost and wall) at any DoP.
+    // All of this is inert unless a profile is armed on the coordinator.
+    let pool_span = span::span_with(|| format!("tasks[{n_tasks}]"));
+    // Consumes one task; when profiling, attaches its leaf afterwards so
+    // the leaf includes the consume-side flush.
+    let mut deliver = |i: usize, out: TaskOutput<T>| {
+        if !pool_span.is_active() {
+            consume(i, out);
+            return;
+        }
+        let (stats, thread, wall_ns) = (out.stats, out.thread, out.wall_ns);
+        let before = thread_flow();
+        consume(i, out);
+        let flush = thread_flow().since(&before);
+        span::attach_task(format!("task-{i}"), thread, wall_ns, stats.plus(&flush));
+    };
     let workers = threads.min(n_tasks);
     if workers <= 1 {
         for i in 0..n_tasks {
             let before = thread_flow();
             let t0 = Instant::now();
             let value = task(i);
-            let out = TaskOutput {
-                value,
-                stats: thread_flow().since(&before),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-                thread: span::thread_id(),
-            };
             // Inline tasks ran on the coordinator, so their traffic is
-            // already in its ledger — attach the leaf, adopt nothing.
-            if span::profiling() {
-                span::attach_task(format!("task-{i}"), out.thread, out.wall_ns, out.stats);
-            }
-            consume(i, out);
+            // already in its flow — nothing to adopt.
+            deliver(
+                i,
+                TaskOutput {
+                    value,
+                    stats: thread_flow().since(&before),
+                    wall_ns: t0.elapsed().as_nanos() as u64,
+                    thread: span::thread_id(),
+                },
+            );
         }
         pmem_sim::flush_thread_accounting();
         pmem_sim::audit::flush_barrier();
@@ -209,20 +234,12 @@ where
                         match pending[next_out].take() {
                             Some(out) => {
                                 // The task ran on a worker: credit its
-                                // traffic to the coordinator's flow
-                                // ledger so enclosing spans (and nested
-                                // pools run from within a task) account
-                                // for the delegated work.
+                                // traffic to the coordinator's flow so
+                                // enclosing spans (and nested pools run
+                                // from within a task) account for the
+                                // delegated work.
                                 adopt(&out.stats);
-                                if span::profiling() {
-                                    span::attach_task(
-                                        format!("task-{next_out}"),
-                                        out.thread,
-                                        out.wall_ns,
-                                        out.stats,
-                                    );
-                                }
-                                consume(next_out, out);
+                                deliver(next_out, out);
                                 next_out += 1;
                             }
                             None => break,
@@ -324,6 +341,54 @@ mod tests {
             .fold(pmem_sim::IoStats::default(), |acc, s| acc.plus(s));
         assert_eq!(total, delta);
         assert!(ledgers.iter().all(|s| s.cl_reads > 0));
+    }
+
+    #[test]
+    fn task_leaves_include_consume_side_flushes() {
+        // Workers read; the coordinator's consume lands each task's output.
+        // Every task leaf must carry both, so the leaves alone account for
+        // the whole device delta at any DoP.
+        let leaves_at = |threads: usize| {
+            let dev = PmDevice::paper_default();
+            let cols: Vec<PCollection<u64>> = (0..6)
+                .map(|i| {
+                    PCollection::from_records_uncounted(
+                        &dev,
+                        LayerKind::BlockedMemory,
+                        format!("c{i}"),
+                        0..700u64,
+                    )
+                })
+                .collect();
+            let mut out = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "out");
+            let before = dev.snapshot();
+            pmem_sim::span::begin_profile("pool");
+            for_each_ordered(
+                threads,
+                cols.len(),
+                |i| {
+                    let mut buf = pmem_sim::RecordBuffer::new();
+                    for v in cols[i].reader().filter(|v| v % 3 == 0) {
+                        buf.push(&v);
+                    }
+                    buf
+                },
+                |_, task| out.append_buffer(&task.value),
+            );
+            let tree = pmem_sim::span::end_profile().expect("profile recorded");
+            let delta = dev.snapshot().since(&before);
+            let phases = tree.task_phases();
+            assert_eq!(phases.len(), 1);
+            let leaves = phases[0].iter().fold(IoStats::default(), |a, s| a.plus(s));
+            assert_eq!(
+                leaves, delta,
+                "leaves cover reads and flushes at DoP {threads}"
+            );
+            assert_eq!(tree.io, delta);
+            assert!(phases[0].iter().all(|s| s.cl_writes > 0), "flush in leaf");
+            phases
+        };
+        assert_eq!(leaves_at(1), leaves_at(4));
     }
 
     #[test]

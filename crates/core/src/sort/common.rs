@@ -2,9 +2,7 @@
 //! selection, and k-way merging.
 
 use crate::parallel;
-use pmem_sim::{
-    thread_stats, BufferPool, IoStats, LayerKind, PCollection, Pm, ReadCursor, RecordBuffer,
-};
+use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, ReadCursor, RecordBuffer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -170,29 +168,15 @@ pub fn generate_runs_parallel<R: Record>(
     capacity: usize,
     ctx: &SortContext<'_>,
 ) -> Vec<PCollection<R>> {
-    generate_runs_parallel_profiled(input, capacity, ctx).0
-}
-
-/// [`generate_runs_parallel`] plus each chunk's traffic as charged by
-/// its worker's thread-local ledger — the run-generation half of the
-/// speedup harness's critical-path profile.
-pub fn generate_runs_parallel_profiled<R: Record>(
-    input: &PCollection<R>,
-    capacity: usize,
-    ctx: &SortContext<'_>,
-) -> (Vec<PCollection<R>>, Vec<IoStats>) {
     let chunk = capacity.saturating_mul(RUN_GEN_CHUNK_CAPACITIES).max(1);
     if input.len() <= chunk {
-        let before = thread_stats();
-        let runs = generate_runs_replacement(input, capacity, ctx);
-        return (runs, vec![thread_stats().since(&before)]);
+        return generate_runs_replacement(input, capacity, ctx);
     }
     let n_chunks = input.len().div_ceil(chunk);
     // Mint one name prefix per chunk on the coordinating thread; workers
     // derive their run names locally, so naming stays deterministic.
     let prefixes: Vec<String> = (0..n_chunks).map(|_| ctx.fresh_name("run")).collect();
     let mut all: Vec<PCollection<R>> = Vec::with_capacity(n_chunks * 2);
-    let mut per_chunk = Vec::with_capacity(n_chunks);
     parallel::for_each_ordered(
         ctx.threads(),
         n_chunks,
@@ -206,12 +190,9 @@ pub fn generate_runs_parallel_profiled<R: Record>(
                 PCollection::new(ctx.device(), ctx.kind(), name)
             })
         },
-        |_, out| {
-            all.extend(out.value);
-            per_chunk.push(out.stats);
-        },
+        |_, out| all.extend(out.value),
     );
-    (all, per_chunk)
+    all
 }
 
 /// Replacement selection over `range` with caller-supplied run
@@ -307,38 +288,18 @@ pub fn merge_runs<R: Record>(
     out
 }
 
-/// Per-pass ledger profile of a multi-pass merge: one entry per pass,
-/// each holding the traffic of that pass's independent tasks (merge
-/// groups for intermediate passes, key-range segments for the final
-/// one). The speedup harness turns these into critical-path estimates.
-#[derive(Clone, Debug, Default)]
-pub struct MergeProfile {
-    /// Per pass, the per-task traffic in execution (task-index) order.
-    pub passes: Vec<Vec<IoStats>>,
-}
-
 /// Merges `runs` and **appends** the result to `out` (which may already
 /// hold a sorted prefix smaller than every run record, as in hybrid
 /// sort). Intermediate passes reduce the run count to the fan-in; the
 /// final pass range-partitions the key space and streams each segment
 /// into `out` in splitter order.
 pub fn merge_runs_into<R: Record>(
-    runs: Vec<PCollection<R>>,
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<R>,
-) {
-    let _ = merge_runs_into_profiled(runs, ctx, out);
-}
-
-/// [`merge_runs_into`] plus the per-pass, per-task ledger profile.
-pub fn merge_runs_into_profiled<R: Record>(
     mut runs: Vec<PCollection<R>>,
     ctx: &SortContext<'_>,
     out: &mut PCollection<R>,
-) -> MergeProfile {
-    let mut profile = MergeProfile::default();
+) {
     if runs.is_empty() {
-        return profile;
+        return;
     }
     let fan_in = merge_fan_in(ctx);
     while runs.len() > fan_in {
@@ -350,7 +311,6 @@ pub fn merge_runs_into_profiled<R: Record>(
         let groups: Vec<&[PCollection<R>]> = runs.chunks(fan_in).collect();
         let names: Vec<String> = (0..groups.len()).map(|_| ctx.fresh_name("merge")).collect();
         let mut merged = Vec::with_capacity(groups.len());
-        let mut pass = Vec::with_capacity(groups.len());
         parallel::for_each_ordered(
             ctx.threads(),
             groups.len(),
@@ -359,28 +319,21 @@ pub fn merge_runs_into_profiled<R: Record>(
                 merge_group(groups[g], &mut next);
                 next
             },
-            |_, task| {
-                merged.push(task.value);
-                pass.push(task.stats);
-            },
+            |_, task| merged.push(task.value),
         );
         drop(groups);
         runs = merged;
-        profile.passes.push(pass);
     }
     if runs.len() == 1 && out.is_empty() {
         // Concatenation with an empty prefix: copying is unavoidable to
         // land the data in `out`, but prefer the cheap path when the
         // caller can take ownership via `merge_runs` instead.
-        let before = thread_stats();
         for r in runs[0].reader() {
             out.append(&r);
         }
-        profile.passes.push(vec![thread_stats().since(&before)]);
-        return profile;
+        return;
     }
-    profile.passes.push(merge_group_parallel(&runs, ctx, out));
-    profile
+    merge_group_parallel(&runs, ctx, out);
 }
 
 /// Streams one merge group into `out` using a tournament over the run
@@ -404,23 +357,21 @@ pub const MERGE_SEGMENT_RECORDS: usize = 8192;
 /// key range from **all** runs into an ordered segment, and the
 /// coordinator concatenates the segments in splitter order. The output
 /// is byte-identical to [`merge_group`] (equal keys tie-break by run
-/// index in both), and the counters are identical at any DoP. Returns
-/// the per-segment traffic (segment reads plus its share of the output
-/// flush).
+/// index in both), and the counters are identical at any DoP. Under a
+/// span profile each segment's `task-i` leaf carries its reads plus its
+/// share of the output flush.
 pub fn merge_group_parallel<R: Record>(
     group: &[PCollection<R>],
     ctx: &SortContext<'_>,
     out: &mut PCollection<R>,
-) -> Vec<IoStats> {
+) {
     let total: usize = group.iter().map(PCollection::len).sum();
     let segments = total.div_ceil(MERGE_SEGMENT_RECORDS).max(1);
     if group.len() <= 1 || segments <= 1 {
-        let before = thread_stats();
         merge_group(group, out);
-        return vec![thread_stats().since(&before)];
+        return;
     }
     let cuts = run_segment_cuts(group, segments);
-    let mut per_segment = Vec::with_capacity(segments);
     parallel::for_each_ordered(
         ctx.threads(),
         segments,
@@ -431,18 +382,10 @@ pub fn merge_group_parallel<R: Record>(
             }
             buf
         },
-        |_, task| {
-            // The flush is serialized here for count determinism, but the
-            // writes belong to the segment (a medium serving DoP workers
-            // would land each segment from its own worker); charge them
-            // to the segment's cost through the coordinator's ledger.
-            let before = thread_stats();
-            out.append_buffer(&task.value);
-            let flush = thread_stats().since(&before);
-            per_segment.push(task.stats.plus(&flush));
-        },
+        // The flush is serialized here for count determinism; the pool
+        // charges it to the segment's task leaf.
+        |_, task| out.append_buffer(&task.value),
     );
-    per_segment
 }
 
 /// One segment's merge inputs under a [`run_segment_cuts`] grid: run
@@ -929,7 +872,7 @@ mod tests {
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "parallel");
             let before = dev.snapshot();
-            let per_segment = merge_group_parallel(&runs, &ctx, &mut out);
+            let per_segment = segment_leaves(|| merge_group_parallel(&runs, &ctx, &mut out));
             let delta = dev.snapshot().since(&before);
             assert!(per_segment.len() > 1, "spans several segments");
             assert_eq!(out.to_vec_uncounted(), serial, "DoP {threads}");
@@ -943,11 +886,22 @@ mod tests {
         }
     }
 
+    /// Runs `merge` under a span profile and returns the task leaves of
+    /// its single worker-pool phase.
+    fn segment_leaves(merge: impl FnOnce()) -> Vec<pmem_sim::IoStats> {
+        pmem_sim::span::begin_profile("merge");
+        merge();
+        let tree = pmem_sim::span::end_profile().expect("profile recorded");
+        let mut phases = tree.task_phases();
+        assert_eq!(phases.len(), 1, "one pool phase");
+        phases.pop().expect("one phase")
+    }
+
     #[test]
     fn segment_ledgers_cover_the_whole_parallel_merge() {
         // Splitter sampling and boundary probes run on the coordinator;
         // everything else — segment reads and output writes — must land
-        // in the per-segment ledgers.
+        // in the per-segment task leaves.
         let dev = PmDevice::paper_default();
         let runs: Vec<PCollection<WisconsinRecord>> = (0..3u64)
             .map(|r| {
@@ -963,7 +917,7 @@ mod tests {
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(4);
         let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "out");
         let before = dev.snapshot();
-        let per_segment = merge_group_parallel(&runs, &ctx, &mut out);
+        let per_segment = segment_leaves(|| merge_group_parallel(&runs, &ctx, &mut out));
         let delta = dev.snapshot().since(&before);
         let covered = per_segment
             .iter()

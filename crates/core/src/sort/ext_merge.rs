@@ -4,24 +4,9 @@
 //! replacement selection (average length `2M` on random input), then merge
 //! with `log_M |T|` passes. Total cost `|T|·r·(1+λ)·(log_M |T| + 1)`.
 
-use super::common::{generate_runs_parallel_profiled, merge_runs_into_profiled, SortContext};
-use pmem_sim::{IoStats, PCollection};
+use super::common::{generate_runs_parallel, merge_runs_into, SortContext};
+use pmem_sim::PCollection;
 use wisconsin::Record;
-
-/// Per-phase ledger profile of one external-merge-sort run: what the
-/// run-generation chunks and each merge pass's independent tasks cost,
-/// measured through the per-worker ledgers. Every entry is identical at
-/// any degree of parallelism; the speedup harness schedules them onto
-/// `DoP` workers to get the deterministic critical-path estimate.
-#[derive(Clone, Debug, Default)]
-pub struct ExmsProfile {
-    /// Traffic per fixed `4M`-record run-generation chunk.
-    pub run_generation: Vec<IoStats>,
-    /// Per merge pass, the traffic of its independent tasks: merge
-    /// groups for intermediate passes, key-range segments for the final
-    /// pass.
-    pub merge_passes: Vec<Vec<IoStats>>,
-}
 
 /// Sorts `input`, materializing the result as a new collection.
 ///
@@ -36,43 +21,21 @@ pub fn external_merge_sort<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> PCollection<R> {
-    external_merge_sort_profiled(input, ctx, output_name).0
-}
-
-/// [`external_merge_sort`] with the per-phase ledger profile alongside
-/// the result — what the speedup harness consumes.
-pub fn external_merge_sort_profiled<R: Record>(
-    input: &PCollection<R>,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> (PCollection<R>, ExmsProfile) {
     let _span = pmem_sim::span::span("alg exms");
     let capacity = ctx.capacity_records::<R>();
-    let (mut runs, run_generation) = generate_runs_parallel_profiled(input, capacity, ctx);
+    let mut runs = generate_runs_parallel(input, capacity, ctx);
     if runs.len() == 1 {
         // A single run is already the sorted output; returning it
         // directly avoids a spurious rewrite (its name stays "run-…",
         // which is cosmetic — cost fidelity matters more than the
         // label).
         if let Some(out) = runs.pop() {
-            return (
-                out,
-                ExmsProfile {
-                    run_generation,
-                    merge_passes: Vec::new(),
-                },
-            );
+            return out;
         }
     }
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let merge = merge_runs_into_profiled(runs, ctx, &mut out);
-    (
-        out,
-        ExmsProfile {
-            run_generation,
-            merge_passes: merge.passes,
-        },
-    )
+    merge_runs_into(runs, ctx, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -40,6 +40,9 @@ pub enum DdlError {
     /// The WAL append or checkpoint write failed; the statement was NOT
     /// applied (write-ahead discipline: no log record, no state change).
     Storage(StorageError),
+    /// An `INSERT` key has no successor (`u64::MAX`), so no key domain
+    /// `0..n` can cover it; rejected before anything is logged.
+    KeyOutOfRange(u64),
 }
 
 impl std::fmt::Display for DdlError {
@@ -51,6 +54,13 @@ impl std::fmt::Display for DdlError {
                 write!(f, "database is not durable (opened without a path)")
             }
             DdlError::Storage(e) => write!(f, "{e}"),
+            DdlError::KeyOutOfRange(key) => {
+                write!(
+                    f,
+                    "key {key} is out of range (keys must be below {})",
+                    u64::MAX
+                )
+            }
         }
     }
 }
@@ -285,23 +295,31 @@ impl Database {
             None => return Err(DdlError::Unknown(table.to_string())),
         };
         let key_domain = catalog.stats(table).map_or(0, |s| s.key_domain);
+        let new_domain = domain_after(keys, key_domain)?;
         self.log(WalRecord::Insert {
             table: table.to_string(),
             keys: keys.to_vec(),
         })?;
-        // Collections are append-only behind shared handles, so an
-        // insert rebuilds the collection and swaps the catalog entry;
-        // snapshots and outstanding streams keep the old version.
+        self.append_keys(&mut catalog, table, &data, keys, new_domain);
+        Ok(keys.len() as u64)
+    }
+
+    /// Appends `keys` to `table` (whose current contents are `data`) and
+    /// reinstalls it under `key_domain`. Collections are append-only
+    /// behind shared handles, so an insert rebuilds the collection and
+    /// swaps the catalog entry; snapshots and outstanding streams keep
+    /// the old version.
+    fn append_keys(
+        &self,
+        catalog: &mut Catalog,
+        table: &str,
+        data: &PCollection<WisconsinRecord>,
+        keys: &[u64],
+        key_domain: u64,
+    ) {
         let mut records = data.to_vec_uncounted();
         records.extend(keys.iter().copied().map(WisconsinRecord::from_key));
-        let new_domain = keys
-            .iter()
-            .map(|k| k + 1)
-            .max()
-            .unwrap_or(0)
-            .max(key_domain);
-        self.install_table(&mut catalog, table, records, new_domain);
-        Ok(keys.len() as u64)
+        self.install_table(catalog, table, records, key_domain);
     }
 
     /// Drops a table; returns whether it existed. Outstanding streams
@@ -604,15 +622,9 @@ impl Database {
                     None => return Err(conflict(format!("insert into missing table \"{table}\""))),
                 };
                 let key_domain = catalog.stats(table).map_or(0, |s| s.key_domain);
-                let mut records = data.to_vec_uncounted();
-                records.extend(keys.iter().copied().map(WisconsinRecord::from_key));
-                let new_domain = keys
-                    .iter()
-                    .map(|k| k + 1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(key_domain);
-                self.install_table(&mut catalog, table, records, new_domain);
+                let new_domain = domain_after(keys, key_domain)
+                    .map_err(|e| conflict(format!("insert into \"{table}\": {e}")))?;
+                self.append_keys(&mut catalog, table, &data, keys, new_domain);
             }
             WalRecord::Drop { name } => {
                 if !catalog.remove(name) {
@@ -622,6 +634,16 @@ impl Database {
         }
         Ok(())
     }
+}
+
+/// The key domain after inserting `keys` into a table whose domain is
+/// `key_domain`: one past the largest key. A key with no successor is
+/// a typed error, never an overflow.
+fn domain_after(keys: &[u64], key_domain: u64) -> Result<u64, DdlError> {
+    keys.iter().try_fold(key_domain, |domain, &k| {
+        let end = k.checked_add(1).ok_or(DdlError::KeyOutOfRange(k))?;
+        Ok(domain.max(end))
+    })
 }
 
 // `Storable` gives records their serialized size; used by
@@ -763,6 +785,49 @@ mod tests {
         let db = Database::reopen(&dir).unwrap();
         assert_eq!(db.recovery_report().unwrap().replayed_records, 0);
         assert_eq!(db.tables(), vec![("t".to_string(), 102)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn keys_without_a_successor_are_rejected_before_the_wal() {
+        let dir = tmpdir("maxkey");
+        {
+            let db = Database::open(&dir).unwrap();
+            db.create_wisconsin("t", 10, 1, 1).unwrap();
+            let appends = db.metrics_snapshot().wal_appends;
+            assert_eq!(
+                db.insert_keys("t", &[5, u64::MAX]).unwrap_err(),
+                DdlError::KeyOutOfRange(u64::MAX)
+            );
+            assert_eq!(db.metrics_snapshot().wal_appends, appends, "nothing logged");
+            assert_eq!(db.tables(), vec![("t".to_string(), 10)]);
+            // The largest representable key still fits a domain.
+            db.insert_keys("t", &[u64::MAX - 1]).unwrap();
+            assert_eq!(db.catalog().stats("t").unwrap().key_domain, u64::MAX);
+        }
+        let db = Database::reopen(&dir).unwrap();
+        assert_eq!(db.tables(), vec![("t".to_string(), 11)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replaying_a_logged_out_of_range_key_is_a_typed_error() {
+        // A WAL written before inserts were range-checked can already
+        // hold such a record; recovery must refuse it, not overflow.
+        let dir = tmpdir("maxkey-replay");
+        {
+            let db = Database::open(&dir).unwrap();
+            db.create_wisconsin("t", 10, 1, 1).unwrap();
+            db.log(WalRecord::Insert {
+                table: "t".to_string(),
+                keys: vec![3, u64::MAX],
+            })
+            .unwrap();
+        }
+        let err = Database::reopen(&dir).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("replay conflict"), "{msg}");
+        assert!(msg.contains("out of range"), "{msg}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

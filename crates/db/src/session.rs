@@ -718,6 +718,23 @@ mod tests {
     }
 
     #[test]
+    fn insert_of_a_key_without_a_successor_is_a_span_carrying_error() {
+        let db = db();
+        let mut s = db.session();
+        let sql = "INSERT INTO t VALUES (18446744073709551615)";
+        let DbError::Sql(e) = s.execute(sql).unwrap_err() else {
+            panic!("expected SQL error")
+        };
+        assert!(e.message.contains("out of range"), "{}", e.message);
+        assert_eq!(&sql[e.span.start..e.span.end], "t");
+        // Nothing was applied: the table and its key domain are intact.
+        assert_eq!(db.catalog().stats("t").unwrap().rows, 500);
+        s.execute("INSERT INTO t VALUES (18446744073709551614)")
+            .expect("largest key with a successor");
+        assert_eq!(db.catalog().stats("t").unwrap().rows, 501);
+    }
+
+    #[test]
     fn ddl_errors_carry_spans() {
         let db = db();
         let mut s = db.session();

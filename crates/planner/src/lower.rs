@@ -409,7 +409,7 @@ pub fn execute_stream(
 /// [`execute_stream`] with profiling armed: every plan node, operator
 /// phase, and worker task records a span, and the resulting tree comes
 /// back in [`ExecutedStream::profile`]. The spans observe the
-/// thread-local ledgers without touching the device counters, so the
+/// thread's flow without touching the device counters, so the
 /// measured traffic is bit-identical to an unprofiled run.
 ///
 /// # Errors

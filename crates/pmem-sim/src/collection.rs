@@ -123,23 +123,12 @@ impl<R: Storable> PCollection<R> {
         cachelines(self.storage.len())
     }
 
-    /// Appends one record, charging writes to the device (attributed to
-    /// this collection's name when the breakdown is enabled).
+    /// Appends one record, charging writes to the device.
     pub fn append(&mut self, record: &R) {
         record.write_to(&mut self.scratch);
         // scratch is sized in the constructor; split borrow via take.
         let mut scratch = std::mem::take(&mut self.scratch);
-        if self.dev.metrics().breakdown_enabled() {
-            // Measure through the thread ledger, not a device snapshot:
-            // the ledger only sees this thread's charges (so parallel
-            // siblings can't pollute the attribution) and costs no flush.
-            let before = crate::metrics::thread_stats();
-            self.storage.append(&scratch, &self.dev);
-            let delta = crate::metrics::thread_stats().since(&before);
-            self.dev.metrics().attribute(&self.name, delta);
-        } else {
-            self.storage.append(&scratch, &self.dev);
-        }
+        self.storage.append(&scratch, &self.dev);
         scratch.iter_mut().for_each(|b| *b = 0);
         self.scratch = scratch;
         self.n_records += 1;
@@ -174,14 +163,7 @@ impl<R: Storable> PCollection<R> {
         if buf.is_empty() {
             return;
         }
-        if self.dev.metrics().breakdown_enabled() {
-            let before = crate::metrics::thread_stats();
-            self.storage.append(&buf.bytes, &self.dev);
-            let delta = crate::metrics::thread_stats().since(&before);
-            self.dev.metrics().attribute(&self.name, delta);
-        } else {
-            self.storage.append(&buf.bytes, &self.dev);
-        }
+        self.storage.append(&buf.bytes, &self.dev);
         // A bulk flush is an accounting boundary: publish this thread's
         // pending shards so coordinator-side snapshots taken right after
         // landing a batch observe it.
@@ -391,18 +373,12 @@ impl<'a, R: Storable> Iterator for RecordReader<'a, R> {
         if self.next_record >= self.end {
             return None;
         }
-        let attributing = self.col.dev.metrics().breakdown_enabled();
-        let before = attributing.then(crate::metrics::thread_stats);
         self.col.storage.read_at(
             self.next_record * R::SIZE,
             &mut self.buf,
             &mut self.cursor,
             &self.col.dev,
         );
-        if let Some(before) = before {
-            let delta = crate::metrics::thread_stats().since(&before);
-            self.col.dev.metrics().attribute(&self.col.name, delta);
-        }
         self.next_record += 1;
         Some(R::read_from(&self.buf))
     }
@@ -565,55 +541,56 @@ mod tests {
 }
 
 #[cfg(test)]
-mod breakdown_tests {
+mod span_tests {
     use super::*;
     use crate::device::PmDevice;
     use crate::layer::LayerKind;
+    use crate::metrics::IoStats;
+    use crate::span::{begin_profile, end_profile, span};
 
     #[test]
-    fn breakdown_attributes_io_per_collection() {
+    fn spans_attribute_io_per_collection() {
         let dev = PmDevice::paper_default();
-        dev.metrics().enable_breakdown();
         let mut a = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "runs");
         let mut b = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "output");
-        for i in 0..100u64 {
-            a.append(&i);
+        begin_profile("root");
+        {
+            let _s = span("runs");
+            for i in 0..100u64 {
+                a.append(&i);
+            }
+            let _: Vec<u64> = a.reader().collect();
         }
-        for i in 0..200u64 {
-            b.append(&i);
+        {
+            let _s = span("output");
+            for i in 0..200u64 {
+                b.append(&i);
+            }
         }
-        let _: Vec<u64> = a.reader().collect();
-
-        let breakdown = dev.metrics().breakdown();
-        assert_eq!(breakdown.len(), 2);
-        // Sorted by writes descending: output first.
-        assert_eq!(breakdown[0].0, "output");
-        assert_eq!(breakdown[0].1.cl_writes, b.buffers());
-        assert_eq!(breakdown[1].0, "runs");
-        assert_eq!(breakdown[1].1.cl_writes, a.buffers());
-        assert_eq!(breakdown[1].1.cl_reads, a.buffers());
-        // The attributed totals reconcile with the global counters.
-        let total_writes: u64 = breakdown.iter().map(|(_, s)| s.cl_writes).sum();
-        assert_eq!(total_writes, dev.snapshot().cl_writes);
+        let tree = end_profile().expect("profile recorded");
+        let runs = tree.find("runs").expect("runs span").io;
+        let output = tree.find("output").expect("output span").io;
+        assert_eq!(output.cl_writes, b.buffers());
+        assert_eq!(output.cl_reads, 0);
+        assert_eq!(runs.cl_writes, a.buffers());
+        assert_eq!(runs.cl_reads, a.buffers());
+        // The attributed spans reconcile with the device counters.
+        assert_eq!(tree.self_io(), IoStats::default());
+        assert_eq!(tree.io.cl_writes, dev.snapshot().cl_writes);
+        assert_eq!(tree.io.cl_reads, dev.snapshot().cl_reads);
     }
 
     #[test]
-    fn breakdown_is_free_when_disabled() {
+    fn pause_suppresses_span_attribution() {
         let dev = PmDevice::paper_default();
         let mut a = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "a");
-        a.append(&1);
-        assert!(dev.metrics().breakdown().is_empty());
-    }
-
-    #[test]
-    fn pause_suppresses_attribution() {
-        let dev = PmDevice::paper_default();
-        dev.metrics().enable_breakdown();
-        let mut a = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "a");
+        begin_profile("root");
         {
             let _p = dev.metrics().pause();
             a.append(&1);
         }
-        assert!(dev.metrics().breakdown().is_empty());
+        let tree = end_profile().expect("profile recorded");
+        assert_eq!(tree.io, IoStats::default());
+        assert_eq!(dev.snapshot(), IoStats::default());
     }
 }

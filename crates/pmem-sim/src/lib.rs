@@ -50,8 +50,7 @@ pub mod span;
 pub use collection::{PCollection, RecordBuffer, RecordReader, Storable};
 
 /// Publishes every piece of pending per-thread accounting — metrics
-/// shards ([`metrics::flush_thread_shards`]) and buffer-pool leases
-/// ([`pool::flush_thread_leases`]) — into the shared banks/pools. The
+/// shards and buffer-pool leases — into the shared banks/pools. The
 /// worker pool calls this at task ends and barrier joins; operators call
 /// it at span boundaries and bulk-append flushes. Cheap when nothing is
 /// pending; safe to call anywhere.
@@ -65,7 +64,7 @@ pub use energy::{EnergyModel, WearModel};
 pub use error::PmError;
 pub use fault::{FaultKind, FaultPlan, WriteVerdict};
 pub use layer::{FileStats, LayerKind, ReadCursor, Storage};
-pub use metrics::{flush_thread_shards, thread_flow, thread_stats, IoStats, Metrics};
+pub use metrics::{thread_flow, IoStats, Metrics};
 pub use pages::{PageId, PageStore};
-pub use pool::{flush_thread_leases, BufferPool, Reservation};
+pub use pool::{BufferPool, Reservation};
 pub use span::SpanNode;

@@ -11,24 +11,26 @@
 //! `fetch_add` on shared atomics, partition-parallel workers would spend
 //! their wall-clock ping-ponging the counter cachelines instead of
 //! scaling (measured: critical-path speedups of 3.4–6.2× at DoP 4–8 with
-//! wall-clock stuck at ≤ 1.0×). So the *only* hot-path bookkeeping is
-//! thread-local:
+//! wall-clock stuck at ≤ 1.0×). So the *only* hot-path bookkeeping is one
+//! thread-local registry, touched once per charge. It holds:
 //!
-//! * every charge lands in the calling thread's cumulative ledger
-//!   ([`thread_stats`]) — how the worker pool attributes per-partition
-//!   costs without perturbing, or being perturbed by, its siblings — and
-//! * in a per-thread, per-bank *shard* of pending deltas (including any
-//!   per-collection breakdown attribution), which is bulk-published into
-//!   the shared [`Metrics`] bank by `Bank::merge_shard` at flush points:
-//!   [`flush_thread_shards`] calls at worker-pool task ends and barrier
-//!   joins, bulk `append_buffer` flushes, operator span boundaries — and
-//!   implicitly whenever the owning thread reads the bank
-//!   ([`Metrics::snapshot`] and friends flush the caller's own shard
-//!   first, so single-threaded observations are always exact).
+//! * a per-bank *shard* of pending deltas, bulk-published into the shared
+//!   [`Metrics`] bank by `Bank::merge_shard` at flush points —
+//!   [`crate::flush_thread_accounting`] at worker-pool task ends and
+//!   barrier joins and at bulk `append_buffer` flushes, and implicitly
+//!   whenever the owning thread reads the bank ([`Metrics::snapshot`]
+//!   flushes the caller's own shards first, so single-threaded
+//!   observations are always exact); and
+//! * the thread's cumulative *flow* ([`thread_flow`]): everything it
+//!   charged plus everything it [`adopt`]ed from worker tasks it
+//!   consumed. Flow is what profiling spans measure, so per-task and
+//!   per-operator attribution — including the critical-path analysis of
+//!   the parallel executors — is a span tree over flow deltas, never a
+//!   second set of counters.
 //!
-//! A thread's shard also flushes when the thread exits (a thread-local
+//! A thread's shards also flush when the thread exits (a thread-local
 //! destructor), so raw `thread::scope` users and mid-task panics never
-//! lose pending counts — and a flush zeroes the shard, so counts are
+//! lose pending counts — and a flush zeroes the shards, so counts are
 //! never published twice. Cross-thread visibility relies on the same
 //! happens-before edges the results themselves use (channel sends, scope
 //! joins), which is why `Relaxed` atomics remain sufficient. Multi-field
@@ -38,10 +40,9 @@
 //! sections.
 
 use crate::config::LatencyProfile;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 /// Internal software-time resolution: picoseconds per nanosecond. Storing
 /// integer picoseconds makes concurrent accumulation exact (u64 addition
@@ -108,7 +109,7 @@ impl IoStats {
         }
     }
 
-    /// Component-wise sum (used to reconcile per-worker ledgers against
+    /// Component-wise sum (used to reconcile per-task span costs against
     /// the device totals).
     #[must_use]
     pub fn plus(&self, other: &IoStats) -> IoStats {
@@ -139,88 +140,24 @@ impl IoStats {
     }
 }
 
-/// Per-thread mirror of everything the current thread has charged to any
-/// [`Metrics`] bank, in raw units (picoseconds for software time).
+/// Counter deltas in raw integer units (picoseconds for software time),
+/// so concurrent accumulation and adoption round-trip exactly.
 #[derive(Clone, Copy, Debug, Default)]
-struct LocalLedger {
+struct Tally {
     reads: u64,
     writes: u64,
     software_ps: u64,
     calls: u64,
 }
 
-thread_local! {
-    static LEDGER: Cell<LocalLedger> = const { Cell::new(LocalLedger {
-        reads: 0,
-        writes: 0,
-        software_ps: 0,
-        calls: 0,
-    }) };
-}
-
-#[inline]
-fn ledger_update(f: impl FnOnce(&mut LocalLedger)) {
-    let _ = LEDGER.try_with(|l| {
-        let mut v = l.get();
-        f(&mut v);
-        l.set(v);
-    });
-}
-
-/// Cumulative traffic charged *by the calling thread* since it started,
-/// across all devices. Monotonic and never reset; take two observations
-/// and [`IoStats::since`] them to cost a code region. This is the
-/// per-worker ledger the parallel executor uses: unlike a device
-/// snapshot, it is unaffected by concurrent siblings, so per-partition
-/// cost deltas stay deterministic at any degree of parallelism.
-pub fn thread_stats() -> IoStats {
-    let l = LEDGER.with(Cell::get);
-    IoStats {
-        cl_reads: l.reads,
-        cl_writes: l.writes,
-        software_ns: l.software_ps as f64 / PS_PER_NS,
-        calls: l.calls,
-    }
-}
-
-thread_local! {
-    static ADOPTED: Cell<LocalLedger> = const { Cell::new(LocalLedger {
-        reads: 0,
-        writes: 0,
-        software_ps: 0,
-        calls: 0,
-    }) };
-}
-
-/// Credits `stats` — traffic charged by *another* thread on this thread's
-/// behalf (a completed worker task whose results this thread consumed) —
-/// to the calling thread's adopted ledger, so [`thread_flow`] accounts
-/// for delegated work. Adopted amounts are kept in the same raw integer
-/// units as the ledger itself, so adoption round-trips exactly.
-pub fn adopt(stats: &IoStats) {
-    ADOPTED.with(|l| {
-        let mut v = l.get();
-        v.reads += stats.cl_reads;
-        v.writes += stats.cl_writes;
-        v.software_ps += (stats.software_ns * PS_PER_NS).round() as u64;
-        v.calls += stats.calls;
-        l.set(v);
-    });
-}
-
-/// [`thread_stats`] plus everything this thread has [`adopt`]ed from
-/// workers: the total traffic this thread is *responsible* for. Like the
-/// ledger it is monotonic and never reset, so flow deltas around a code
-/// region cost that region inclusive of any parallel fan-out it consumed
-/// — which is exactly the quantity profiling spans report.
-pub fn thread_flow() -> IoStats {
-    let own = LEDGER.with(Cell::get);
-    let ad = ADOPTED.with(Cell::get);
-    IoStats {
-        cl_reads: own.reads + ad.reads,
-        cl_writes: own.writes + ad.writes,
-        software_ns: (own.software_ps + ad.software_ps) as f64 / PS_PER_NS,
-        calls: own.calls + ad.calls,
+impl Tally {
+    fn stats(&self) -> IoStats {
+        IoStats {
+            cl_reads: self.reads,
+            cl_writes: self.writes,
+            software_ns: self.software_ps as f64 / PS_PER_NS,
+            calls: self.calls,
+        }
     }
 }
 
@@ -239,7 +176,6 @@ struct Bank {
     cl_writes: AtomicU64,
     software_ps: AtomicU64,
     calls: AtomicU64,
-    breakdown: Mutex<HashMap<String, IoStats>>,
 }
 
 impl Bank {
@@ -250,16 +186,15 @@ impl Bank {
             cl_writes: AtomicU64::new(0),
             software_ps: AtomicU64::new(0),
             calls: AtomicU64::new(0),
-            breakdown: Mutex::new(HashMap::new()),
         }
     }
 
     /// Bulk-publishes one thread shard into the shared counters: a
-    /// handful of `fetch_add`s and at most one breakdown lock per flush,
-    /// regardless of how many accesses the shard buffered. This is the
-    /// only place pending deltas enter the bank (the `ledger-only`
-    /// wl-audit rule pins callers to this file).
-    fn merge_shard(&self, pending: &ShardDelta) {
+    /// handful of `fetch_add`s per flush, regardless of how many accesses
+    /// the shard buffered. This is the only place pending deltas enter
+    /// the bank (the `ledger-only` wl-audit rule pins callers to this
+    /// file).
+    fn merge_shard(&self, pending: &Tally) {
         if pending.reads != 0 {
             self.cl_reads.fetch_add(pending.reads, Ordering::Relaxed);
         }
@@ -273,28 +208,7 @@ impl Bank {
         if pending.calls != 0 {
             self.calls.fetch_add(pending.calls, Ordering::Relaxed);
         }
-        if !pending.breakdown.is_empty() {
-            let mut map = self.breakdown.lock().expect("breakdown lock poisoned");
-            for (tag, d) in &pending.breakdown {
-                let slot = map.entry(tag.clone()).or_default();
-                slot.cl_reads += d.cl_reads;
-                slot.cl_writes += d.cl_writes;
-                slot.software_ns += d.software_ns;
-                slot.calls += d.calls;
-            }
-        }
     }
-}
-
-/// One thread's not-yet-published deltas against one bank, in raw
-/// integer units, plus any buffered per-collection attribution.
-#[derive(Debug, Default)]
-struct ShardDelta {
-    reads: u64,
-    writes: u64,
-    software_ps: u64,
-    calls: u64,
-    breakdown: HashMap<String, IoStats>,
 }
 
 /// A thread's pending shard for one bank. The bank is held weakly so a
@@ -304,16 +218,19 @@ struct ShardDelta {
 struct Shard {
     bank_id: u64,
     bank: Weak<Bank>,
-    delta: ShardDelta,
+    delta: Tally,
 }
 
-/// Every shard the current thread has pending. Dropping the registry —
-/// the thread-local destructor, running at thread exit even on panic —
-/// flushes everything, so raw-thread callers and mid-task panics never
-/// lose counts.
+/// The calling thread's accounting state: its pending shards, one per
+/// bank it charged since the last flush, and its cumulative `flow` —
+/// everything it charged to any bank plus everything it [`adopt`]ed,
+/// never reset. Dropping the registry — the thread-local destructor,
+/// running at thread exit even on panic — flushes every shard, so
+/// raw-thread callers and mid-task panics never lose counts.
 #[derive(Debug, Default)]
 struct ShardRegistry {
     shards: Vec<Shard>,
+    flow: Tally,
 }
 
 impl ShardRegistry {
@@ -338,15 +255,15 @@ thread_local! {
     static SHARDS: RefCell<ShardRegistry> = RefCell::new(ShardRegistry::default());
 }
 
-/// Buffers a delta in the calling thread's shard for `bank`. If the
-/// thread-local registry is already destroyed (a charge from inside
-/// another thread-local's destructor), publishes directly — correctness
-/// over buffering on that cold path.
+/// Applies one charge to the calling thread's flow and to its shard for
+/// `bank` — a single thread-local access. If the registry is already
+/// destroyed (a charge from inside another thread-local's destructor),
+/// publishes directly — correctness over buffering on that cold path.
 #[inline]
-fn buffer_in_shard(bank: &Arc<Bank>, f: impl FnOnce(&mut ShardDelta)) {
-    let mut f = Some(f);
+fn charge(bank: &Arc<Bank>, f: impl Fn(&mut Tally)) {
     let buffered = SHARDS.try_with(|reg| {
         let reg = &mut *reg.borrow_mut();
+        f(&mut reg.flow);
         let idx = reg.shards.iter().position(|s| s.bank_id == bank.id);
         let slot = match idx {
             Some(i) => &mut reg.shards[i],
@@ -354,28 +271,55 @@ fn buffer_in_shard(bank: &Arc<Bank>, f: impl FnOnce(&mut ShardDelta)) {
                 reg.shards.push(Shard {
                     bank_id: bank.id,
                     bank: Arc::downgrade(bank),
-                    delta: ShardDelta::default(),
+                    delta: Tally::default(),
                 });
                 reg.shards.last_mut().expect("just pushed")
             }
         };
-        (f.take().expect("applied once"))(&mut slot.delta);
+        f(&mut slot.delta);
     });
     if buffered.is_err() {
-        if let Some(f) = f.take() {
-            let mut delta = ShardDelta::default();
-            f(&mut delta);
-            bank.merge_shard(&delta);
-        }
+        let mut delta = Tally::default();
+        f(&mut delta);
+        bank.merge_shard(&delta);
     }
 }
 
+/// Credits `stats` — traffic charged by *another* thread on this thread's
+/// behalf (a completed worker task whose results this thread consumed) —
+/// to the calling thread's flow, so [`thread_flow`] accounts for
+/// delegated work. Adoption never touches a bank: the worker's own shard
+/// already published the traffic.
+pub fn adopt(stats: &IoStats) {
+    let _ = SHARDS.try_with(|reg| {
+        let flow = &mut reg.borrow_mut().flow;
+        flow.reads += stats.cl_reads;
+        flow.writes += stats.cl_writes;
+        flow.software_ps += (stats.software_ns * PS_PER_NS).round() as u64;
+        flow.calls += stats.calls;
+    });
+}
+
+/// Cumulative traffic the calling thread is *responsible* for: what it
+/// charged to any device plus what it [`adopt`]ed from workers.
+/// Monotonic and never reset; take two observations and
+/// [`IoStats::since`] them to cost a code region inclusive of any
+/// parallel fan-out it consumed. Unlike a device snapshot it is
+/// unaffected by concurrent siblings, so per-task deltas are
+/// deterministic at any degree of parallelism — this is what profiling
+/// spans and the worker pool's task leaves measure.
+pub fn thread_flow() -> IoStats {
+    SHARDS
+        .try_with(|reg| reg.borrow().flow.stats())
+        .unwrap_or_default()
+}
+
 /// Publishes every pending shard of the calling thread into its bank and
-/// zeroes the shards. The worker pool calls this at task ends and
-/// barrier joins; `PCollection::append_buffer` and the exec operators
-/// call it at their flush/span boundaries; bank reads flush implicitly.
-/// Safe (and cheap — a no-op on empty shards) to call anywhere.
-pub fn flush_thread_shards() {
+/// zeroes the shards. [`crate::flush_thread_accounting`] calls this at
+/// worker-pool task ends, barrier joins and bulk `append_buffer`
+/// flushes; bank reads flush implicitly. Cheap (a no-op on empty
+/// shards) and safe to call anywhere.
+pub(crate) fn flush_thread_shards() {
     let _ = SHARDS.try_with(|reg| reg.borrow_mut().flush_all());
 }
 
@@ -384,13 +328,12 @@ pub fn flush_thread_shards() {
 /// The bank is `Send + Sync`; charges buffer in per-thread shards and
 /// publish at flush points (see the module docs), so totals are exact
 /// under any interleaving once the charging threads have flushed —
-/// thread exit, [`flush_thread_shards`], and same-thread reads all
-/// flush.
+/// thread exit, [`crate::flush_thread_accounting`], and same-thread
+/// reads all flush.
 #[derive(Debug)]
 pub struct Metrics {
     bank: Arc<Bank>,
     paused: AtomicBool,
-    breakdown_enabled: AtomicBool,
 }
 
 impl Default for Metrics {
@@ -423,7 +366,6 @@ impl Metrics {
         Metrics {
             bank: Arc::new(Bank::new()),
             paused: AtomicBool::new(false),
-            breakdown_enabled: AtomicBool::new(false),
         }
     }
 
@@ -445,8 +387,7 @@ impl Metrics {
     #[inline]
     pub fn add_reads(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
-            ledger_update(|l| l.reads += n);
-            buffer_in_shard(&self.bank, |d| d.reads += n);
+            charge(&self.bank, |d| d.reads += n);
         }
     }
 
@@ -455,8 +396,7 @@ impl Metrics {
     #[inline]
     pub fn add_writes(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
-            ledger_update(|l| l.writes += n);
-            buffer_in_shard(&self.bank, |d| d.writes += n);
+            charge(&self.bank, |d| d.writes += n);
         }
     }
 
@@ -466,8 +406,7 @@ impl Metrics {
     pub fn add_software_ns(&self, ns: f64) {
         if !self.paused.load(Ordering::Relaxed) {
             let ps = (ns * PS_PER_NS).round() as u64;
-            ledger_update(|l| l.software_ps += ps);
-            buffer_in_shard(&self.bank, |d| d.software_ps += ps);
+            charge(&self.bank, |d| d.software_ps += ps);
         }
     }
 
@@ -476,8 +415,7 @@ impl Metrics {
     #[inline]
     pub fn add_calls(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
-            ledger_update(|l| l.calls += n);
-            buffer_in_shard(&self.bank, |d| d.calls += n);
+            charge(&self.bank, |d| d.calls += n);
         }
     }
 
@@ -494,11 +432,10 @@ impl Metrics {
         }
     }
 
-    /// Resets every counter to zero (including any per-collection
-    /// breakdown), discarding the calling thread's pending shard for
-    /// this bank. Thread-local ledgers are cumulative and unaffected.
-    /// Like snapshots, resets belong on the coordinating thread outside
-    /// parallel sections.
+    /// Resets every counter to zero, discarding the calling thread's
+    /// pending shard for this bank. Thread flows are cumulative and
+    /// unaffected. Like snapshots, resets belong on the coordinating
+    /// thread outside parallel sections.
     pub fn reset(&self) {
         let _ = SHARDS.try_with(|reg| {
             reg.borrow_mut()
@@ -509,63 +446,6 @@ impl Metrics {
         self.bank.cl_writes.store(0, Ordering::Relaxed);
         self.bank.software_ps.store(0, Ordering::Relaxed);
         self.bank.calls.store(0, Ordering::Relaxed);
-        self.bank
-            .breakdown
-            .lock()
-            .expect("breakdown lock poisoned")
-            .clear();
-    }
-
-    /// Enables per-collection I/O attribution. Off by default — when
-    /// enabled, collections measure their storage operations through the
-    /// thread ledger and attribute the deltas by name, buffered in the
-    /// thread shard (a local hash update per operation; the shared map
-    /// is only locked once per flush).
-    pub fn enable_breakdown(&self) {
-        self.breakdown_enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether per-collection attribution is on.
-    #[inline]
-    pub fn breakdown_enabled(&self) -> bool {
-        self.breakdown_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Attributes `delta` to `tag` (no-op unless breakdown is enabled;
-    /// paused accounting also suppresses attribution). Buffered in the
-    /// calling thread's shard and merged at the same flush points as the
-    /// counters.
-    pub fn attribute(&self, tag: &str, delta: IoStats) {
-        if !self.breakdown_enabled() || self.paused.load(Ordering::Relaxed) {
-            return;
-        }
-        buffer_in_shard(&self.bank, |d| {
-            if let Some(slot) = d.breakdown.get_mut(tag) {
-                slot.cl_reads += delta.cl_reads;
-                slot.cl_writes += delta.cl_writes;
-                slot.software_ns += delta.software_ns;
-                slot.calls += delta.calls;
-            } else {
-                d.breakdown.insert(tag.to_string(), delta);
-            }
-        });
-    }
-
-    /// The per-collection breakdown, sorted by writes descending.
-    /// Empty unless [`Metrics::enable_breakdown`] was called. Flushes
-    /// the calling thread's pending shards first.
-    pub fn breakdown(&self) -> Vec<(String, IoStats)> {
-        flush_thread_shards();
-        let mut v: Vec<(String, IoStats)> = self
-            .bank
-            .breakdown
-            .lock()
-            .expect("breakdown lock poisoned")
-            .iter()
-            .map(|(k, s)| (k.clone(), *s))
-            .collect();
-        v.sort_by(|a, b| b.1.cl_writes.cmp(&a.1.cl_writes).then(a.0.cmp(&b.0)));
-        v
     }
 }
 
@@ -679,21 +559,21 @@ mod tests {
     #[test]
     fn thread_ledger_mirrors_this_threads_traffic_only() {
         let m = Metrics::new();
-        let before = thread_stats();
+        let before = thread_flow();
         m.add_reads(7);
         m.add_writes(3);
         std::thread::scope(|s| {
             s.spawn(|| {
-                // A sibling's traffic must not appear in our ledger.
+                // A sibling's traffic must not appear in our flow.
                 m.add_reads(1000);
-                let own = thread_stats();
+                let own = thread_flow();
                 assert!(own.cl_reads >= 1000);
                 // Publish before the scope joins (the implicit join does
                 // not wait for the thread-exit TLS flush).
                 flush_thread_shards();
             });
         });
-        let delta = thread_stats().since(&before);
+        let delta = thread_flow().since(&before);
         assert_eq!(delta.cl_reads, 7);
         assert_eq!(delta.cl_writes, 3);
         assert_eq!(m.snapshot().cl_reads, 1007);
@@ -755,18 +635,17 @@ mod tests {
     #[test]
     fn paused_accounting_skips_ledger_too() {
         let m = Metrics::new();
-        let before = thread_stats();
+        let before = thread_flow();
         {
             let _p = m.pause();
             m.add_reads(5);
         }
-        assert_eq!(thread_stats().since(&before).cl_reads, 0);
+        assert_eq!(thread_flow().since(&before).cl_reads, 0);
     }
 
     #[test]
-    fn adopted_traffic_flows_but_stays_out_of_thread_stats() {
+    fn adopted_traffic_flows_but_stays_out_of_the_bank() {
         let m = Metrics::new();
-        let own0 = thread_stats();
         let flow0 = thread_flow();
         m.add_reads(2);
         adopt(&IoStats {
@@ -775,40 +654,28 @@ mod tests {
             software_ns: 1.5,
             calls: 3,
         });
-        let own = thread_stats().since(&own0);
-        assert_eq!(own.cl_reads, 2);
-        assert_eq!(own.cl_writes, 0);
         let flow = thread_flow().since(&flow0);
         assert_eq!(flow.cl_reads, 12);
         assert_eq!(flow.cl_writes, 4);
         assert_eq!(flow.calls, 3);
         assert!((flow.software_ns - 1.5).abs() < 1e-9);
+        // Adoption credits responsibility, not device traffic: the
+        // worker that charged it already published to its own shard.
+        let bank = m.snapshot();
+        assert_eq!((bank.cl_reads, bank.cl_writes, bank.calls), (2, 0, 0));
     }
 
     #[test]
-    fn attribution_buffers_in_the_shard_until_flush() {
+    fn flow_survives_flushes_and_resets() {
         let m = Metrics::new();
-        m.enable_breakdown();
-        m.attribute(
-            "runs",
-            IoStats {
-                cl_writes: 5,
-                ..Default::default()
-            },
-        );
-        m.attribute(
-            "runs",
-            IoStats {
-                cl_writes: 2,
-                cl_reads: 1,
-                ..Default::default()
-            },
-        );
-        let b = m.breakdown(); // flush-on-read
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].0, "runs");
-        assert_eq!(b[0].1.cl_writes, 7);
-        assert_eq!(b[0].1.cl_reads, 1);
+        let before = thread_flow();
+        m.add_writes(4);
+        flush_thread_shards();
+        m.add_writes(1);
+        m.reset();
+        // The bank forgot everything; the thread's flow did not.
+        assert_eq!(m.snapshot(), IoStats::default());
+        assert_eq!(thread_flow().since(&before).cl_writes, 5);
     }
 
     #[test]

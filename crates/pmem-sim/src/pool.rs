@@ -12,9 +12,10 @@
 //! shared pool core is only touched when a thread's *lease* cannot cover
 //! a request. A successful draw grows the lease by exactly the shortfall
 //! (so the admitted total and high-water mark stay exact); releases park
-//! the bytes as lease slack for same-thread reuse, and
-//! [`flush_thread_leases`] — called from the same barrier/task-end flush
-//! points as the metrics shards, from the thread-exit destructor, and
+//! the bytes as lease slack for same-thread reuse, and a lease flush
+//! ([`crate::flush_thread_accounting`]) — called from the same
+//! barrier/task-end flush points as the metrics shards, from the
+//! thread-exit destructor, and
 //! implicitly by the pool's own getters — returns slack and publishes
 //! the buffered reservation count. The hot path (an operator re-reserving
 //! working memory it just released) is therefore RMW-free; budget safety
@@ -136,9 +137,9 @@ thread_local! {
 
 /// Returns the calling thread's parked lease slack to every pool and
 /// publishes buffered reservation counts. Called at the same flush
-/// points as `metrics::flush_thread_shards`; cheap when nothing is
-/// parked. Safe to call anywhere.
-pub fn flush_thread_leases() {
+/// points as the metrics shards; cheap when nothing is parked. Safe to
+/// call anywhere.
+pub(crate) fn flush_thread_leases() {
     let _ = LEASES.try_with(|reg| reg.borrow_mut().flush_all());
 }
 

@@ -10,14 +10,21 @@
 //! Two properties the rest of the system relies on:
 //!
 //! * **Spans never perturb the counted workload.** Measurement is pure
-//!   observation of the thread-local ledgers ([`crate::metrics::thread_flow`]);
-//!   no span ever touches a [`crate::Metrics`] bank, so simulated counters
-//!   are bit-identical with profiling on or off.
+//!   observation of the calling thread's cumulative flow
+//!   ([`crate::metrics::thread_flow`], kept in the same thread-local
+//!   registry as the metrics shards); no span ever touches a
+//!   [`crate::Metrics`] bank, so simulated counters are bit-identical
+//!   with profiling on or off.
 //! * **Child deltas sum to (at most) the parent's.** A frame's delta is
-//!   taken from the monotonic per-thread flow ledger, which includes both
-//!   the thread's own traffic and traffic it [`crate::metrics::adopt`]ed
-//!   from completed worker tasks, so a parent always covers its children
-//!   plus its own work ([`SpanNode::validate`]).
+//!   taken from the monotonic flow, which includes both the thread's own
+//!   traffic and traffic it [`crate::metrics::adopt`]ed from completed
+//!   worker tasks, so a parent always covers its children plus its own
+//!   work ([`SpanNode::validate`]).
+//!
+//! The span tree is the system's one attribution plane: per-operator
+//! costs (EXPLAIN ANALYZE), per-phase breakdowns, and the critical-path
+//! speedup of the parallel executors are all read off the `tasks[n]`
+//! phase spans and `task-i` leaves the worker pool records.
 //!
 //! Profiling is armed per-thread by [`begin_profile`]; while no profile is
 //! active on the current thread every entry point here is a cheap no-op,
@@ -120,6 +127,31 @@ impl SpanNode {
             .sum::<usize>()
     }
 
+    /// The worker-pool phases of the subtree, in pre-order: for each
+    /// outermost `tasks[n]` span, the I/O of its `task-*` leaves. Nothing
+    /// below a phase is visited — a pool nested inside a task is already
+    /// inside that task's leaf — so every task is counted exactly once.
+    pub fn task_phases(&self) -> Vec<Vec<IoStats>> {
+        fn walk(node: &SpanNode, out: &mut Vec<Vec<IoStats>>) {
+            if node.label.starts_with("tasks[") {
+                out.push(
+                    node.children
+                        .iter()
+                        .filter(|c| c.label.starts_with("task-"))
+                        .map(|c| c.io)
+                        .collect(),
+                );
+            } else {
+                for child in &node.children {
+                    walk(child, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Plain indented rendering of the tree (labels plus counters), for
     /// diagnostics and tests.
     pub fn render(&self) -> String {
@@ -197,11 +229,6 @@ pub fn thread_id() -> u64 {
         t.set(id);
         id
     })
-}
-
-/// Whether a profile is active on the calling thread.
-pub fn profiling() -> bool {
-    STACK.with(|s| !s.borrow().is_empty())
 }
 
 /// Arms profiling on the calling thread by opening the root frame.
@@ -327,7 +354,6 @@ mod tests {
 
     #[test]
     fn spans_are_inert_without_a_profile() {
-        assert!(!profiling());
         {
             let s = span("ignored");
             assert!(!s.is_active());
@@ -351,7 +377,7 @@ mod tests {
         }
         m.add_reads(1);
         let root = end_profile().expect("profile recorded");
-        assert!(!profiling());
+        assert!(end_profile().is_none(), "profile disarmed");
         assert_eq!(root.label, "root");
         assert_eq!(root.io.cl_reads, 11);
         assert_eq!(root.io.cl_writes, 4);

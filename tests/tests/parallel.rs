@@ -6,7 +6,8 @@
 //! simulated traffic as the serial run. These property-style tests sweep
 //! the full algorithm line-up at several DoPs against the DoP-1 run.
 
-use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice};
+use pmem_sim::span::{begin_profile, end_profile};
+use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice, SpanNode};
 use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
 use wl_runtime::OpCtx;
 use write_limited::join::{JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS};
@@ -14,6 +15,16 @@ use write_limited::pipeline::{filtered_iterate_join, DeferredFilter};
 use write_limited::sort::{SortAlgorithm, SortContext};
 
 const DOPS: [usize; 3] = [2, 3, 8];
+
+/// Runs `work`, under an armed span profile when `profiled`, and returns
+/// the recorded tree.
+fn profile_if(profiled: bool, work: impl FnOnce()) -> Option<SpanNode> {
+    if profiled {
+        begin_profile("run");
+    }
+    work();
+    profiled.then(|| end_profile().expect("profile armed"))
+}
 
 #[test]
 fn device_layer_is_send_and_sync() {
@@ -267,7 +278,7 @@ fn empty_inputs_are_dop_invariant_for_every_parallel_join() {
 
 #[test]
 fn parallel_final_merge_is_dop_invariant_across_input_shapes() {
-    use write_limited::sort::external_merge_sort_profiled;
+    use write_limited::sort::external_merge_sort;
 
     // Random keys (many runs, several key segments), all-one-key skew
     // (range partitioning degenerates to one segment), and sorted input
@@ -289,14 +300,21 @@ fn parallel_final_merge_is_dop_invariant_across_input_shapes() {
             let pool = BufferPool::new(600 * 80);
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let before = dev.snapshot();
-            let (out, profile) = external_merge_sort_profiled(&input, &ctx, "sorted");
+            let mut out = None;
+            let tree = profile_if(true, || {
+                out = Some(external_merge_sort(&input, &ctx, "sorted"));
+            })
+            .expect("profiled");
             let stats = dev.snapshot().since(&before);
             let rows: Vec<(u64, u64)> = out
+                .expect("sorted")
                 .to_vec_uncounted()
                 .iter()
                 .map(|r| (r.key(), r.payload()))
                 .collect();
-            (rows, stats, profile.merge_passes.len())
+            // Worker-pool passes: run generation plus every merge pass
+            // that fanned out.
+            (rows, stats, tree.task_phases().len())
         };
         let (rows1, io1, passes1) = run(1);
         assert!(rows1.windows(2).all(|w| w[0] <= w[1]), "{label}: sorted");
@@ -460,14 +478,11 @@ fn planned_query_execution_is_dop_invariant() {
 #[test]
 fn counters_are_bit_identical_across_dops_with_profiling_on_and_off() {
     // The sharded hot-path accounting must publish exactly the serial
-    // totals no matter how tasks were divided across workers, and
-    // per-collection attribution (profiling) must neither perturb the
-    // counters nor itself vary by DoP.
+    // totals no matter how tasks were divided across workers, and an
+    // armed span profile must neither perturb the counters nor record
+    // per-phase task costs that vary by DoP.
     let run = |algo: JoinAlgorithm, profiled: bool, threads: usize| {
         let dev = PmDevice::paper_default();
-        if profiled {
-            dev.metrics().enable_breakdown();
-        }
         let w = join_input(900, 6, 41);
         let left = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", w.left);
         let right =
@@ -475,30 +490,45 @@ fn counters_are_bit_identical_across_dops_with_profiling_on_and_off() {
         let pool = BufferPool::new(70 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
         let before = dev.snapshot();
-        algo.run(&left, &right, &ctx, "out").expect("applicable");
-        // breakdown() is deterministically ordered (writes desc, name),
-        // so it is directly comparable across runs.
-        (dev.snapshot().since(&before), dev.metrics().breakdown())
+        let tree = profile_if(profiled, || {
+            algo.run(&left, &right, &ctx, "out").expect("applicable");
+        });
+        let io = dev.snapshot().since(&before);
+        if let Some(tree) = &tree {
+            assert_eq!(
+                tree.io,
+                io,
+                "{}: profile covers the device delta",
+                algo.label()
+            );
+        }
+        (io, tree.map(|t| t.task_phases()))
     };
-    for profiled in [false, true] {
-        for algo in [JoinAlgorithm::GJ, JoinAlgorithm::HJ] {
-            let (io1, attr1) = run(algo, profiled, 1);
-            assert_eq!(attr1.is_empty(), !profiled, "{}", algo.label());
-            for threads in [4, 8] {
-                let (io, attr) = run(algo, profiled, threads);
-                assert_eq!(
-                    io,
-                    io1,
-                    "{} (profiled={profiled}): traffic differs at DoP {threads}",
-                    algo.label()
-                );
-                assert_eq!(
-                    attr,
-                    attr1,
-                    "{} (profiled={profiled}): attribution differs at DoP {threads}",
-                    algo.label()
-                );
-            }
+    for algo in [JoinAlgorithm::GJ, JoinAlgorithm::HJ] {
+        let (io1, phases1) = run(algo, true, 1);
+        let phases1 = phases1.expect("profiled");
+        assert!(!phases1.is_empty(), "{}: pool phases", algo.label());
+        for threads in [1, 4, 8] {
+            let (io, _) = run(algo, false, threads);
+            assert_eq!(
+                io,
+                io1,
+                "{}: traffic with profiling off differs at DoP {threads}",
+                algo.label()
+            );
+            let (io, phases) = run(algo, true, threads);
+            assert_eq!(
+                io,
+                io1,
+                "{}: traffic with profiling on differs at DoP {threads}",
+                algo.label()
+            );
+            assert_eq!(
+                phases.expect("profiled"),
+                phases1,
+                "{}: per-phase task costs differ at DoP {threads}",
+                algo.label()
+            );
         }
     }
 }
@@ -508,10 +538,9 @@ fn skewed_one_key_counters_are_bit_identical_across_dops_while_profiling() {
     // All-one-key skew funnels every row through one partition, so one
     // worker's shard carries almost all of the traffic while its
     // siblings stay near-idle — the stress case for merge-at-barrier
-    // bookkeeping. Attribution is on throughout.
+    // bookkeeping. A span profile is armed throughout.
     let run = |algo: JoinAlgorithm, threads: usize| {
         let dev = PmDevice::paper_default();
-        dev.metrics().enable_breakdown();
         let one_key = |n: u64| (0..n).map(|i| WisconsinRecord::from_key(7).with_payload(i));
         let left =
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", one_key(90));
@@ -520,14 +549,30 @@ fn skewed_one_key_counters_are_bit_identical_across_dops_while_profiling() {
         let pool = BufferPool::new(100 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
         let before = dev.snapshot();
-        algo.run(&left, &right, &ctx, "out").expect("applicable");
-        (dev.snapshot().since(&before), dev.metrics().breakdown())
+        let tree = profile_if(true, || {
+            algo.run(&left, &right, &ctx, "out").expect("applicable");
+        })
+        .expect("profiled");
+        let io = dev.snapshot().since(&before);
+        assert_eq!(
+            tree.io,
+            io,
+            "{}: profile covers the device delta",
+            algo.label()
+        );
+        (io, tree.task_phases())
     };
     for algo in [JoinAlgorithm::HJ, JoinAlgorithm::SMJ { x: 0.5 }] {
-        let (io1, attr1) = run(algo, 1);
-        assert!(!attr1.is_empty(), "{}", algo.label());
+        let (io1, phases1) = run(algo, 1);
+        // SMJ's inputs are too small to fan out; HJ's morsel scans do.
+        assert_eq!(
+            phases1.is_empty(),
+            algo != JoinAlgorithm::HJ,
+            "{}",
+            algo.label()
+        );
         for threads in [4, 8] {
-            let (io, attr) = run(algo, threads);
+            let (io, phases) = run(algo, threads);
             assert_eq!(
                 io,
                 io1,
@@ -535,9 +580,9 @@ fn skewed_one_key_counters_are_bit_identical_across_dops_while_profiling() {
                 algo.label()
             );
             assert_eq!(
-                attr,
-                attr1,
-                "{}: attribution differs at DoP {threads}",
+                phases,
+                phases1,
+                "{}: per-phase task costs differ at DoP {threads}",
                 algo.label()
             );
         }
@@ -597,7 +642,7 @@ fn mid_task_panic_publishes_partial_accounting_exactly_once() {
 
 #[test]
 fn grace_profile_ledgers_reconcile_with_device_totals() {
-    use write_limited::join::grace_join_profiled;
+    use write_limited::join::{grace_join, partition_input};
 
     let run = |threads: usize| {
         let dev = PmDevice::paper_default();
@@ -608,30 +653,42 @@ fn grace_profile_ledgers_reconcile_with_device_totals() {
         let pool = BufferPool::new(300 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
         let before = dev.snapshot();
-        let (_, profile) = grace_join_profiled(&left, &right, &ctx, "out").expect("applicable");
-        (profile, dev.snapshot().since(&before))
+        let tree = profile_if(true, || {
+            grace_join(&left, &right, &ctx, "out").expect("applicable");
+        })
+        .expect("profiled");
+        let total = dev.snapshot().since(&before);
+        // The left input fits one morsel, so it is partitioned serially
+        // on the coordinator — the one part of the join outside any pool
+        // phase. Measure that residual independently.
+        let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
+        let before = dev.snapshot();
+        partition_input(&left, k, &ctx, "probe");
+        let residual = dev.snapshot().since(&before);
+        (tree, total, residual)
     };
-    let (p1, total1) = run(1);
+    let (tree1, total1, _) = run(1);
+    let phases1 = tree1.task_phases();
     for threads in [1, 4] {
-        let (profile, total) = run(threads);
+        let (tree, total, residual) = run(threads);
         assert_eq!(total, total1, "device totals differ at DoP {threads}");
+        tree.validate().expect("span sums hold");
+        assert_eq!(tree.io, total, "the profile covers the device delta");
+        // Right-input morsels, then partition pairs.
+        let phases = tree.task_phases();
+        assert_eq!(phases.len(), 2, "two pool phases at DoP {threads}");
         assert_eq!(
-            profile.per_partition, p1.per_partition,
-            "per-partition ledgers differ at DoP {threads}"
+            phases[1], phases1[1],
+            "per-partition leaves differ at DoP {threads}"
         );
-        // The phase ledgers cover the whole run: morsel costs sum to the
-        // partitioning phase, and partition costs account for all
-        // remaining traffic (build/probe reads + output writes).
-        let morsels: IoStats = profile
-            .per_morsel_left
+        assert_eq!(phases, phases1, "phase leaves differ at DoP {threads}");
+        // The task leaves — build/probe reads and each partition's
+        // output writes included — plus the serial residual account for
+        // every charged cacheline.
+        let leaves = phases
             .iter()
-            .chain(&profile.per_morsel_right)
+            .flatten()
             .fold(IoStats::default(), |acc, s| acc.plus(s));
-        assert_eq!(morsels, profile.partition_phase);
-        let parts: IoStats = profile
-            .per_partition
-            .iter()
-            .fold(IoStats::default(), |acc, s| acc.plus(s));
-        assert_eq!(parts, total.since(&profile.partition_phase));
+        assert_eq!(leaves.plus(&residual), tree.io);
     }
 }
